@@ -150,6 +150,10 @@ func main() {
 	opts := report.DefaultOptions()
 	csv, chart, jsonOut, storeDir, debugAddr, storeOpts, dispatchOpts, traceOpts, replicaOpts := registerFlags(flag.CommandLine, &opts)
 	flag.Parse()
+	args := flag.Args()
+	if !validArgs(args) {
+		usage()
+	}
 
 	if *storeDir != "" || len(dispatchOpts.Workers) > 0 || len(replicaOpts.Peers) > 0 {
 		st, repl, err := wireBackends(*storeDir, *storeOpts, *dispatchOpts, *replicaOpts, &opts)
@@ -178,10 +182,6 @@ func main() {
 		opts.Engine.SetTraceCache(tracecache.New(traceOpts.MaxBytes))
 	}
 
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-	}
 	// An interrupted run cancels its context: local sweeps stop between
 	// trace batches, and dispatched jobs abort their worker HTTP requests —
 	// through the workers' refcounted cancellation, a Ctrl-C here frees
@@ -208,30 +208,19 @@ func main() {
 	case "list":
 		err = list()
 	case "run":
-		if len(args) < 2 {
-			usage()
-		}
 		err = runWorkload(args[1], opts)
 	case "figure":
-		if len(args) < 2 {
-			usage()
-		}
 		if *jsonOut {
 			err = exportJSON(opts)
 		} else {
 			err = figure(ctx, args[1], opts, *csv, *chart)
 		}
 	case "table":
-		if len(args) < 2 {
-			usage()
-		}
 		err = table(ctx, args[1], opts, *csv)
 	case "export":
 		err = exportJSON(opts)
 	case "all":
 		err = all(ctx, opts, *csv, *chart)
-	default:
-		usage()
 	}
 	tr.Finish()
 	if err != nil {
@@ -240,8 +229,24 @@ func main() {
 	}
 }
 
+// operands is how many arguments each subcommand takes after its name.
+var operands = map[string]int{"list": 0, "export": 0, "all": 0, "run": 1, "figure": 1, "table": 1}
+
+// validArgs reports whether args is a known subcommand with exactly its
+// operands. Anything extra is refused rather than ignored: flags placed
+// after the subcommand (`dcbench list -j 4`) would otherwise silently
+// not apply.
+func validArgs(args []string) bool {
+	if len(args) == 0 {
+		return false
+	}
+	n, ok := operands[args[0]]
+	return ok && len(args) == 1+n
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: dcbench [flags] list | run <workload> | figure <1..12> | table <1..3> | export | all")
+	fmt.Fprintln(os.Stderr, "flags go before the subcommand")
 	flag.PrintDefaults()
 	os.Exit(2)
 }

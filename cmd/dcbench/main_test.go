@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"regexp"
 	"strings"
 	"testing"
@@ -68,6 +70,39 @@ func TestDocCommentMatchesRealDefaults(t *testing.T) {
 		if got := m[2]; got != want[m[1]] {
 			t.Errorf("doc comment says -%s defaults to %s; report.DefaultOptions() says %s",
 				m[1], got, want[m[1]])
+		}
+	}
+}
+
+// TestExtraArgumentsRejected: a subcommand given more (or fewer) words
+// than it takes — most often flags placed after it — exits 2 with the
+// usage message instead of running with those words ignored. Each case
+// re-runs this test binary as dcbench with the case's arguments.
+func TestExtraArgumentsRejected(t *testing.T) {
+	if os.Getenv("DCBENCH_TEST_MAIN") == "1" {
+		os.Args = append([]string{"dcbench"}, strings.Fields(os.Getenv("DCBENCH_TEST_ARGS"))...)
+		main()
+		os.Exit(0) // main accepted the arguments: the parent reports it
+	}
+	for _, args := range []string{
+		"list -j 4", "export extra", "all -csv", "run Sort extra",
+		"figure 3 4", "table 1 -csv", "figure", "run", "bogus", "",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestExtraArgumentsRejected$")
+		cmd.Env = append(os.Environ(), "DCBENCH_TEST_MAIN=1", "DCBENCH_TEST_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("dcbench %s: err = %v, want exit status 2\n%s", args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "usage: dcbench") {
+			t.Errorf("dcbench %s: no usage message:\n%s", args, out)
+		}
+	}
+	for _, args := range [][]string{{"list"}, {"export"}, {"all"}, {"run", "Sort"}, {"figure", "3"}, {"table", "1"}} {
+		if !validArgs(args) {
+			t.Errorf("validArgs(%q) = false, want true", args)
 		}
 	}
 }

@@ -110,6 +110,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -172,8 +173,13 @@ func main() {
 	var local sweep.MemoBackend
 	var localStats workloads.StatsBackend
 	if *storeDir != "" {
+		dir, err := filepath.Abs(*storeDir)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dcserved:", err)
+			os.Exit(1)
+		}
 		storeOpts.Log = log
-		st, err := store.OpenWith(*storeDir, storeOpts)
+		st, err := store.OpenWith(dir, storeOpts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dcserved:", err)
 			os.Exit(1)
@@ -182,6 +188,9 @@ func main() {
 		cfg.Store = st
 		local = st.Backend(log)
 		localStats = st.StatsBackend(log)
+		log.Info("result store", "dir", dir)
+	} else {
+		log.Info("persistence off")
 	}
 	var repl *replica.Replicator
 	if len(replicaOpts.Peers) > 0 {

@@ -14,9 +14,10 @@
 //     forgotten the moment it completes, so the next caller retries instead
 //     of replaying a stale failure;
 //   - retention is the only knob: New keeps successful values for the
-//     memo's lifetime (the sweep engine's and stats cache's semantics),
-//     NewFlight drops them once the last sharer returns (the serve layer's
-//     request coalescing, where the layer below is already a cache);
+//     memo's lifetime (the sweep engine's, the stats cache's and the serve
+//     layer's retained response bytes), NewFlight drops them once the last
+//     sharer returns (the dispatch layer's remote fetches and the trace
+//     cache's captures, where something else already holds the result);
 //   - cancellation is refcounted: DoShared participants leave a flight when
 //     their own context is cancelled, and only the LAST departure cancels
 //     the running function's context — one impatient caller among N never
@@ -24,9 +25,9 @@
 //     pinned (they never leave), so blocking callers keep their current
 //     semantics even when sharing a cell with cancellable ones.
 //
-// The sweep engine, the serve layer's request coalescing, the cluster
-// stats cache and the dispatch layer's remote fetches all run on this one
-// type — a coalescing bug is fixed here or it is not fixed.
+// The sweep engine, the serve layer's per-representation render cache,
+// the cluster stats cache, the trace cache and the dispatch layer's
+// remote fetches all run on this one type — a coalescing bug is fixed here or it is not fixed.
 package memo
 
 import (

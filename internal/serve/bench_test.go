@@ -29,7 +29,8 @@ func BenchmarkColdSweep(b *testing.B) {
 }
 
 // BenchmarkWarmFigureEndpoint is the steady-state serving cost: a figure
-// request answered from the warm memo (render + encode + HTTP).
+// request answered from the retained encoded bytes (ETag + memo lookup +
+// HTTP). The one render and encode happen before the timer starts.
 func BenchmarkWarmFigureEndpoint(b *testing.B) {
 	srv := serve.New(serve.Config{Options: testOptions(), Logger: quietLog})
 	defer srv.Close()

@@ -8,3 +8,8 @@ func (s *Server) SetServiceTimeForTest(kind string, secs float64) {
 	s.svcSecs[kind] = secs
 	s.svcMu.Unlock()
 }
+
+// OnRenderForTest registers fn to be called with the key of every render
+// serveBody actually runs (not those answered from retained bytes). Set
+// before the server takes traffic.
+func (s *Server) OnRenderForTest(fn func(key string)) { s.onRender = fn }

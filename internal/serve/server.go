@@ -9,9 +9,10 @@
 //   - ETag/Cache-Control validators derived from the run parameters
 //     (seed, scale, instrs, warmup, config fingerprint), so a client or
 //     proxy revalidating an unchanged deployment never triggers a render;
-//   - singleflight coalescing per (endpoint, format), so a thundering herd
-//     on a cold figure runs exactly one render — and the engine's memo
-//     coalesces the underlying sweep a second time below that;
+//   - one render per (endpoint, format), retained: a thundering herd on a
+//     cold figure runs exactly one render (the engine's memo coalesces the
+//     underlying sweep a second time below that), and every later request
+//     for the key is answered from the retained encoded bytes;
 //   - renders run under the server's base context, not the request's: a
 //     coalesced sweep must not die with whichever client happened to start
 //     it, and shutdown (Close) cancels the base context to stop in-flight
@@ -119,10 +120,15 @@ type Server struct {
 	backend sweep.MemoBackend
 	log     *slog.Logger
 	mux     *http.ServeMux
-	flight  *memo.Memo[string, []byte] // non-retaining: the engine memo below is the cache
+	bodies  *memo.Memo[string, []byte] // retained encoded response per (endpoint, format)
+	tagPre  string                     // run-parameter prefix of every ETag's hash input
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	started time.Time
+
+	// onRender, when set (tests only), is called with the key of every
+	// render that actually runs.
+	onRender func(key string)
 
 	// Observability (see internal/obs): the trace ring /debug/traces
 	// serves, and the latency histograms /metrics exports per endpoint
@@ -198,7 +204,14 @@ func New(cfg Config) *Server {
 		backend: backend,
 		log:     log,
 		mux:     http.NewServeMux(),
-		flight:  memo.NewFlight[string, []byte](),
+		// Retained without a byte budget: routes validate before serveBody
+		// runs, so the key set is closed — figures 1-12 and Table I in JSON
+		// and CSV, Tables II and III in JSON, the workload listing in both,
+		// and the 26 registry workloads' counters in both: at most 82
+		// entries. A size knob would bound nothing.
+		bodies: memo.New[string, []byte](),
+		tagPre: fmt.Sprintf("%d|%g|%d|%d|%d|", opts.Seed, opts.Scale, opts.Instrs,
+			opts.Warmup, opts.CoreConfig().Fingerprint()),
 		baseCtx: ctx,
 		cancel:  cancel,
 		started: time.Now(),
@@ -215,8 +228,8 @@ func New(cfg Config) *Server {
 		s.maxInflight = cfg.MaxInflight
 		s.jobSem = make(chan struct{}, cfg.MaxInflight)
 	}
-	s.flight.OnJoin(func() { s.coalesced.Add(1) })
-	s.flight.SetName("render")
+	s.bodies.OnJoin(func() { s.coalesced.Add(1) })
+	s.bodies.SetName("render")
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
@@ -318,7 +331,12 @@ func (s *Server) Handler() http.Handler {
 		if !probe {
 			// Label by the mux pattern, not the raw path: every workload's
 			// counters URL is one endpoint, not a cardinality explosion.
-			_, pattern := s.mux.Handler(r)
+			// The mux recorded its match in r.Pattern; a denied request
+			// never reached it, so only then is the route matched here.
+			pattern := r.Pattern
+			if deny != nil {
+				_, pattern = s.mux.Handler(r)
+			}
 			if pattern == "" {
 				pattern = "unmatched"
 			}
@@ -419,19 +437,20 @@ func wantCSV(r *http.Request) bool {
 // etag derives the entity validator for an endpoint: every response is a
 // pure function of the run parameters (seed, scale, instrs, warmup, config
 // fingerprint — the warmup rides inside the fingerprint too) and the
-// endpoint identity, so that tuple is the entity.
+// endpoint identity, so that tuple is the entity. The parameter part is
+// formatted once in New; only the key is hashed per request.
 func (s *Server) etag(key string) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%g|%d|%d|%d|%s",
-		s.opts.Seed, s.opts.Scale, s.opts.Instrs, s.opts.Warmup,
-		s.opts.CoreConfig().Fingerprint(), key)
+	h.Write([]byte(s.tagPre))
+	h.Write([]byte(key))
 	return fmt.Sprintf(`"%016x"`, h.Sum64())
 }
 
-// serveBody runs render (coalesced per key), and writes it with cache
-// validators. A request bearing a matching If-None-Match never renders.
-// The validators go out only on 304 and 200 — a failed render must not
-// hand a shared cache a storable error.
+// serveBody renders the key once and writes the retained bytes with cache
+// validators. Concurrent first requests share one render; a failed render
+// is not retained, so the next request retries it. A request bearing a
+// matching If-None-Match never renders. The validators go out only on 304
+// and 200 — a failed render must not hand a shared cache a storable error.
 func (s *Server) serveBody(w http.ResponseWriter, r *http.Request, key, contentType string, render func(ctx context.Context) ([]byte, error)) {
 	tag := s.etag(key)
 	setValidators := func() {
@@ -446,11 +465,14 @@ func (s *Server) serveBody(w http.ResponseWriter, r *http.Request, key, contentT
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	body, err := s.flight.DoCtx(r.Context(), key, func(ctx context.Context) ([]byte, error) {
+	body, err := s.bodies.DoCtx(r.Context(), key, func(ctx context.Context) ([]byte, error) {
 		// Base context, not r.Context(): a coalesced render must survive
 		// the starting client's disconnect, and shutdown cancels it. The
 		// executing request's trace rides along so the render's spans land
 		// in the timeline of the request that paid for it.
+		if s.onRender != nil {
+			s.onRender(key)
+		}
 		return render(obs.With(s.baseCtx, obs.From(ctx)))
 	})
 	if err != nil {
