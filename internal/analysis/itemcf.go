@@ -50,29 +50,42 @@ func (cf *ItemCF) Add(user, item int, score float64) {
 }
 
 // Cosine computes the cosine similarity between two items' rating vectors
-// over their co-rating users.
+// over their co-rating users. Every sum runs in ascending user order, so the
+// result does not depend on map iteration order.
 func (cf *ItemCF) Cosine(a, b int) float64 {
 	ra, rb := cf.byItem[a], cf.byItem[b]
 	if len(ra) > len(rb) {
 		ra, rb = rb, ra
 	}
 	var dot float64
-	for u, va := range ra {
+	for _, u := range sortedUsers(ra) {
 		if vb, ok := rb[u]; ok {
-			dot += va * vb
+			dot += ra[u] * vb
 		}
 	}
 	if dot == 0 {
 		return 0
 	}
-	var na, nb float64
-	for _, v := range cf.byItem[a] {
-		na += v * v
+	return dot / (math.Sqrt(sumSquares(cf.byItem[a])) * math.Sqrt(sumSquares(cf.byItem[b])))
+}
+
+// sortedUsers returns the users of one item's ratings in ascending order.
+func sortedUsers(ratings map[int]float64) []int {
+	users := make([]int, 0, len(ratings))
+	for u := range ratings {
+		users = append(users, u)
 	}
-	for _, v := range cf.byItem[b] {
-		nb += v * v
+	sort.Ints(users)
+	return users
+}
+
+// sumSquares is the squared norm of one item's rating vector.
+func sumSquares(ratings map[int]float64) float64 {
+	var s float64
+	for _, u := range sortedUsers(ratings) {
+		s += ratings[u] * ratings[u]
 	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+	return s
 }
 
 // Items returns all item ids in ascending order.

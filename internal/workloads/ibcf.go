@@ -141,22 +141,29 @@ func IBCFWorkload() *Workload {
 				sims[pair{a, b}] = dot / math.Sqrt(norms[a]*norms[b])
 			}
 
-			// Verify against the serial recommender on the same ratings.
+			// Verify against the serial recommender on the same ratings,
+			// checking the first 500 pairs in (a, b) order so every run
+			// checks the same subset.
 			cf := analysis.NewItemCF(ibcfItems)
 			for split := 0; split < input.NumSplits(); split++ {
 				for _, r := range ibcfShard(env.Seed, split) {
 					cf.Add(r.User, r.Item, r.Score)
 				}
 			}
-			worst := 0.0
-			checked := 0
-			for p, s := range sims {
-				if want := cf.Cosine(p.a, p.b); math.Abs(want-s) > worst {
-					worst = math.Abs(want - s)
+			pairs := make([]pair, 0, len(sims))
+			for p := range sims {
+				pairs = append(pairs, p)
+			}
+			sort.Slice(pairs, func(i, j int) bool {
+				if pairs[i].a != pairs[j].a {
+					return pairs[i].a < pairs[j].a
 				}
-				checked++
-				if checked >= 500 {
-					break
+				return pairs[i].b < pairs[j].b
+			})
+			worst := 0.0
+			for _, p := range pairs[:min(len(pairs), 500)] {
+				if d := math.Abs(cf.Cosine(p.a, p.b) - sims[p]); d > worst {
+					worst = d
 				}
 			}
 			st.Quality["cosine_divergence"] = worst

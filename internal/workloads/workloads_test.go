@@ -210,3 +210,13 @@ func TestSlaveSweepMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestIBCFDeterministic: IBCF's quality check must not depend on map
+// iteration order, so two identical runs give identical Stats.
+func TestIBCFDeterministic(t *testing.T) {
+	a := runWorkload(t, IBCFWorkload(), 1)
+	b := runWorkload(t, IBCFWorkload(), 1)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("nondeterministic IBCF run:\n%+v\n%+v", a, b)
+	}
+}
