@@ -8,12 +8,15 @@ package datagen
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"dcbench/internal/sim"
 )
 
 // Corpus generates natural-language-like text with a Zipf word frequency
-// distribution, the standard model for document collections.
+// distribution, the standard model for document collections. A corpus owns
+// only its RNG: the word list and its Zipf table are shared read-only by
+// every corpus of the same vocabulary size (see sharedVocab).
 type Corpus struct {
 	rng   *sim.RNG
 	zipf  *sim.Zipf
@@ -23,13 +26,50 @@ type Corpus struct {
 // NewCorpus builds a corpus with the given vocabulary size.
 func NewCorpus(seed uint64, vocabSize int) *Corpus {
 	rng := sim.NewRNG(seed)
-	c := &Corpus{
-		rng:   rng,
-		zipf:  sim.NewZipf(rng, vocabSize, 1.05),
-		vocab: make([]string, vocabSize),
+	v := sharedVocab(vocabSize)
+	return &Corpus{rng: rng, zipf: v.zipf.Sampler(rng), vocab: v.words}
+}
+
+// corpusExponent is the Zipf exponent of every corpus's word frequencies.
+const corpusExponent = 1.05
+
+// vocabulary is one vocabulary size's word list and Zipf table. Neither
+// depends on the seed, so each is built once per process and never written
+// again.
+type vocabulary struct {
+	words []string
+	zipf  *sim.ZipfTable
+}
+
+// vocabs maps a vocabulary size to its *vocabulary; zipfTables maps a
+// zipfKey to its *sim.ZipfTable. Callers use a handful of fixed sizes, so
+// both stay a few hundred kilobytes. Concurrent first uses of one key may
+// each build the value; LoadOrStore keeps one, and both are identical.
+var vocabs, zipfTables sync.Map
+
+type zipfKey struct {
+	n int
+	s float64
+}
+
+// sharedZipf returns the process-wide Zipf table for n ranks and exponent s.
+func sharedZipf(n int, s float64) *sim.ZipfTable {
+	k := zipfKey{n, s}
+	if t, ok := zipfTables.Load(k); ok {
+		return t.(*sim.ZipfTable)
 	}
+	t, _ := zipfTables.LoadOrStore(k, sim.NewZipfTable(n, s))
+	return t.(*sim.ZipfTable)
+}
+
+// sharedVocab returns the process-wide vocabulary of the given size.
+func sharedVocab(size int) *vocabulary {
+	if v, ok := vocabs.Load(size); ok {
+		return v.(*vocabulary)
+	}
+	words := make([]string, size)
 	letters := "abcdefghijklmnopqrstuvwxyz"
-	for i := range c.vocab {
+	for i := range words {
 		// Word length grows slowly with rank, like real vocabularies.
 		n := 2 + i%9
 		var b strings.Builder
@@ -38,9 +78,10 @@ func NewCorpus(seed uint64, vocabSize int) *Corpus {
 			b.WriteByte(letters[(x+7*j)%26])
 			x /= 3
 		}
-		c.vocab[i] = b.String()
+		words[i] = b.String()
 	}
-	return c
+	v, _ := vocabs.LoadOrStore(size, &vocabulary{words: words, zipf: sharedZipf(size, corpusExponent)})
+	return v.(*vocabulary)
 }
 
 // VocabSize returns the number of distinct words.
@@ -127,7 +168,7 @@ type Rating struct {
 // so collaborative filtering is meaningful rather than noise.
 func Ratings(seed uint64, users, items, perUser int) []Rating {
 	rng := sim.NewRNG(seed)
-	zipf := sim.NewZipf(rng, items, 1.0)
+	zipf := sharedZipf(items, 1.0).Sampler(rng)
 	// Latent 2-factor model.
 	uf := make([][2]float64, users)
 	for i := range uf {

@@ -2,7 +2,8 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"dcbench/internal/cluster"
 	"dcbench/internal/dfs"
@@ -259,7 +260,11 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		p.Sleep(rt.Cfg.TaskStartup)
 
 		// Shuffle: fetch partition r of every map task's output.
-		var recs []KV
+		total := 0
+		for _, mo := range mapOuts {
+			total += len(mo.partitions[r])
+		}
+		recs := make([]KV, 0, total)
 		var simIn int64
 		for _, mo := range mapOuts {
 			recs = append(recs, mo.partitions[r]...)
@@ -273,7 +278,7 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		res.Counters.ShuffleSimBytes += simIn
 
 		// Merge-sort and group for real; charge the reduce CPU.
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
+		sortByKey(recs)
 		n.Compute(p, float64(simIn)*job.Cost.ReduceCPUPerByte)
 
 		var out []KV
@@ -333,29 +338,36 @@ func countRecords(parts [][]KV) int64 {
 	return n
 }
 
+// sortByKey stably sorts records by key, so equal keys keep their map-task
+// order.
+func sortByKey(recs []KV) {
+	slices.SortStableFunc(recs, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
+}
+
 // combine groups records by key and applies the combiner, preserving
-// deterministic key order.
+// deterministic key order. It sorts recs in place.
 func combine(recs []KV, c Reducer) []KV {
 	if len(recs) == 0 {
 		return recs
 	}
-	sorted := make([]KV, len(recs))
-	copy(sorted, recs)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	sortByKey(recs)
 	var out []KV
-	groupedReduce(sorted, c, func(k, v string) { out = append(out, KV{k, v}) })
+	groupedReduce(recs, c, func(k, v string) { out = append(out, KV{k, v}) })
 	return out
 }
 
 // groupedReduce walks key-sorted records, invoking the reducer once per key.
+// Every call gets the same values buffer, refilled per key, which is why a
+// Reducer must not retain values.
 func groupedReduce(sorted []KV, r Reducer, emit Emit) {
+	var values []string
 	i := 0
 	for i < len(sorted) {
 		j := i
 		for j < len(sorted) && sorted[j].Key == sorted[i].Key {
 			j++
 		}
-		values := make([]string, 0, j-i)
+		values = values[:0]
 		for k := i; k < j; k++ {
 			values = append(values, sorted[k].Value)
 		}

@@ -38,6 +38,9 @@ type MapperFunc func(kv KV, emit Emit)
 func (f MapperFunc) Map(kv KV, emit Emit) { f(kv, emit) }
 
 // Reducer folds all values of one key into zero or more output records.
+// values is valid only for the duration of the call: the engine reuses its
+// backing array for the next key, so a reducer that keeps values (or a
+// subslice of it) past its return must copy them first.
 type Reducer interface {
 	Reduce(key string, values []string, emit Emit)
 }

@@ -94,6 +94,18 @@ type Zipf struct {
 
 // NewZipf constructs a Zipf sampler over n ranks with exponent s > 0.
 func NewZipf(rng *RNG, n int, s float64) *Zipf {
+	return NewZipfTable(n, s).Sampler(rng)
+}
+
+// ZipfTable is the inverse-CDF table of a Zipf distribution over n ranks.
+// It is read-only once built, so any number of samplers, each with its own
+// RNG, may share one table, also from different goroutines.
+type ZipfTable struct {
+	cdf []float64
+}
+
+// NewZipfTable builds the table for n ranks with exponent s > 0.
+func NewZipfTable(n int, s float64) *ZipfTable {
 	if n <= 0 {
 		panic("sim: Zipf over non-positive n")
 	}
@@ -106,8 +118,11 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, rng: rng}
+	return &ZipfTable{cdf: cdf}
 }
+
+// Sampler returns a sampler drawing from t with rng.
+func (t *ZipfTable) Sampler(rng *RNG) *Zipf { return &Zipf{cdf: t.cdf, rng: rng} }
 
 // Next draws a rank in [0, len(cdf)).
 func (z *Zipf) Next() int {

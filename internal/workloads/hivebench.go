@@ -65,9 +65,10 @@ func HiveBenchWorkload() *Workload {
 				}
 				return recs
 			}
+			visitPages := sim.NewZipfTable(pages, 0.8) // shared by every split
 			visitGen := func(split int) []mapreduce.KV {
 				rng := sim.NewRNG(splitSeed(env.Seed+29, split))
-				zipf := sim.NewZipf(rng, pages, 0.8)
+				zipf := visitPages.Sampler(rng)
 				recs := make([]mapreduce.KV, hiveVisitRowsPerSplit)
 				for i := range recs {
 					recs[i] = mapreduce.KV{

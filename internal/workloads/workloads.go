@@ -132,11 +132,14 @@ func (e *Env) finishStats(s *Stats, results ...*mapreduce.Result) *Stats {
 
 // encodeVec serialises a float vector for shuffling.
 func encodeVec(v []float64) string {
-	parts := make([]string, len(v))
+	b := make([]byte, 0, 24*len(v))
 	for i, x := range v {
-		parts[i] = strconv.FormatFloat(x, 'g', -1, 64)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, x, 'g', -1, 64)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // decodeVec parses encodeVec output.
