@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -226,5 +227,33 @@ func TestObservationSeqSticky(t *testing.T) {
 	frac := float64(stays) / float64(len(hidden)-1)
 	if frac < 0.6 {
 		t.Fatalf("chain not sticky: stay fraction %v", frac)
+	}
+}
+
+// TestSharedVocabConcurrent: corpora built concurrently on a vocabulary
+// size no other test uses race on its first build, yet must all share one
+// word list and draw exactly the words a serial run draws. Run under -race
+// this also checks that the shared tables are only read after publication.
+func TestSharedVocabConcurrent(t *testing.T) {
+	const size, n = 4321, 8
+	got := make([]string, n)
+	corpora := make([]*Corpus, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			corpora[i] = NewCorpus(uint64(i+1), size)
+			got[i] = corpora[i].Sentence(200)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if &corpora[i].vocab[0] != &corpora[0].vocab[0] {
+			t.Fatalf("corpus %d has its own vocabulary", i)
+		}
+		if want := NewCorpus(uint64(i+1), size).Sentence(200); got[i] != want {
+			t.Fatalf("corpus %d: concurrent draw differs from serial\n got %q\nwant %q", i, got[i], want)
+		}
 	}
 }

@@ -337,3 +337,51 @@ func TestOutputSortedWithinReducer(t *testing.T) {
 		t.Fatalf("reducer output not sorted: %v", keys)
 	}
 }
+
+// TestReducerValuesCopiedPerGroup pins the Reducer contract: values is
+// reused from key to key, so a reducer that keeps a group copies it, and
+// each copy must then hold exactly that key's values. Keys get different
+// group sizes so the buffer both grows and shrinks between calls.
+func TestReducerValuesCopiedPerGroup(t *testing.T) {
+	in := &SliceInput{}
+	want := map[string][]string{}
+	for s := 0; s < 3; s++ {
+		var recs []KV
+		for k := 0; k < 12; k++ {
+			key := fmt.Sprintf("k%02d", k)
+			for v := 0; v < 1+(k*7+s)%5; v++ {
+				val := fmt.Sprintf("%s-s%d-v%d", key, s, v)
+				recs = append(recs, KV{key, val})
+				want[key] = append(want[key], val)
+			}
+		}
+		in.Splits = append(in.Splits, recs)
+	}
+	kept := map[string][]string{}
+	job := &Job{
+		Name:   "keep-groups",
+		Input:  in,
+		Mapper: MapperFunc(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
+		Reducer: ReducerFunc(func(key string, values []string, emit Emit) {
+			if _, dup := kept[key]; dup {
+				t.Errorf("key %s reduced twice", key)
+			}
+			kept[key] = append([]string(nil), values...)
+		}),
+		NumReducers: 2,
+	}
+	if _, err := testRuntime(2).Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(want) {
+		t.Fatalf("reduced %d keys, want %d", len(kept), len(want))
+	}
+	for key, vals := range want {
+		got := kept[key]
+		sort.Strings(got)
+		sort.Strings(vals)
+		if strings.Join(got, " ") != strings.Join(vals, " ") {
+			t.Errorf("key %s: values %v, want %v", key, got, vals)
+		}
+	}
+}

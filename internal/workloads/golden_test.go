@@ -37,25 +37,17 @@ var goldenStats = map[string]string{
 	"Hive-bench/4":    "6844ceef3961078e",
 }
 
-func statsDigest(st *Stats) (string, error) {
-	b, err := json.Marshal(st)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return fmt.Sprintf("%x", sum[:8]), nil
-}
-
 func TestClusterStatsGolden(t *testing.T) {
 	for _, w := range All() {
 		for _, slaves := range []int{1, 4} {
 			name := fmt.Sprintf("%s/%d", w.Name, slaves)
 			st := runWorkload(t, w, slaves)
-			got, err := statsDigest(st)
+			b, err := json.Marshal(st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := goldenStats[name]; got != want {
+			sum := sha256.Sum256(b)
+			if got, want := fmt.Sprintf("%x", sum[:8]), goldenStats[name]; got != want {
 				t.Errorf("%s: stats digest %s, want %s\n%+v", name, got, want, st)
 			}
 		}
